@@ -7,6 +7,9 @@
 * :mod:`repro.bittorrent.tracker` -- peer discovery (the acceptance graph).
 * :mod:`repro.bittorrent.swarm` -- the round-based swarm simulator and the
   empirical stratification index.
+* :mod:`repro.bittorrent.control` -- the swarm config / peer / result model
+  and the control plane (membership, faults, resilience, the round loop)
+  that both swarm engines share.
 * :mod:`repro.bittorrent.scenarios` -- dynamic-membership scenarios
   (Poisson arrivals, flash crowds, departure policies) driving both swarm
   engines bit-identically.

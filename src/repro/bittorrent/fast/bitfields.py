@@ -126,17 +126,19 @@ class BitfieldMatrix:
         # dispatch layers of np.flatnonzero -- this runs once per transfer.
         return np.unpackbits(packed_row, count=self.piece_count).nonzero()[0]
 
-    def availability(self) -> np.ndarray:
-        """Replication level of every piece across all allocated rows.
+    def availability(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Replication level of every piece across rows ``start..stop``.
 
-        Counts every row below :attr:`n_peers` -- including rows the swarm
-        engine has tombstoned for departed peers (their bits are never
-        cleared; liveness is the engine's concern, tracked by its ``alive``
-        mask and compensated incrementally via :meth:`unpack_row`).  Only
-        unused growth capacity is excluded.
+        By default counts every row below :attr:`n_peers` -- including rows
+        the swarm engine has tombstoned for departed peers (their bits are
+        never cleared; liveness is the engine's concern, tracked by its
+        ``alive`` mask and compensated incrementally via
+        :meth:`unpack_row`).  Only unused growth capacity is excluded.  The
+        engine passes a row range to add one wave of new peers.
         """
+        stop = self.n_peers if stop is None else stop
         return (
-            np.unpackbits(self.packed[: self.n_peers], axis=1, count=self.piece_count)
+            np.unpackbits(self.packed[start:stop], axis=1, count=self.piece_count)
             .sum(axis=0)
             .astype(np.int64)
         )

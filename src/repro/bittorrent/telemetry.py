@@ -308,7 +308,7 @@ class SwarmObserver:
     the narrow read-only surface both engines expose identically --
     ``source``, ``piece_count``, ``piece_size_kbit``, ``round_seconds``,
     ``scrape()``, ``known_peers()`` and ``progress(peer_id)`` (see
-    :class:`_ReferenceSwarmView` / :class:`_FastSwarmView`).
+    :class:`SwarmView`).
     """
 
     def __init__(self, config: Optional[ObserverConfig] = None) -> None:
@@ -415,15 +415,17 @@ def resolve_observer(
     )
 
 
-class _ReferenceSwarmView:
-    """Read-only measurement surface of the reference engine.
+class SwarmView:
+    """Read-only measurement surface of a swarm engine (either one).
 
     Tracker endpoints (``scrape`` / ``known_peers``) raise
     :class:`~repro.bittorrent.faults.TrackerUnavailableError` during a
     scheduled outage -- the observer sees the failure, the engine never
     does (its own announces are deferred internally, not via this view).
     ``progress`` returns ``None`` for peers not currently present (a
-    crashed peer's stale tracker entry can still be sampled).
+    crashed peer's stale tracker entry can still be sampled); both engines
+    divide the same two integers, so the reported floats are
+    bit-identical.
     """
 
     def __init__(self, simulator) -> None:
@@ -445,10 +447,7 @@ class _ReferenceSwarmView:
         return self._simulator.tracker.known_peers()
 
     def progress(self, peer_id: int) -> Optional[float]:
-        peer = self._simulator.peers.get(peer_id)
-        if peer is None:
-            return None
-        return peer.bitfield.count() / self.piece_count
+        return self._simulator.progress(peer_id)
 
     def stale_count(self) -> int:
         """Crashed-but-registered ghosts in the scrape (omniscient).
@@ -456,44 +455,5 @@ class _ReferenceSwarmView:
         Consumes no randomness and mutates nothing; see
         :meth:`repro.bittorrent.tracker.Tracker.stale_count`.
         """
-        return self._simulator.tracker.stale_count(self._simulator.peers)
-
-
-class _FastSwarmView:
-    """Read-only measurement surface of the fast engine.
-
-    ``progress`` divides the same two integers as the reference view, so
-    the reported floats are bit-identical; outage and absent-peer
-    behavior mirror :class:`_ReferenceSwarmView` exactly.
-    """
-
-    def __init__(self, simulator) -> None:
-        self._simulator = simulator
-        config = simulator.config
-        self.piece_count = config.piece_count
-        self.piece_size_kbit = config.piece_size_kbit
-        self.round_seconds = config.round_seconds
-        self.source = simulator.source
-
-    def scrape(self) -> ScrapeStats:
-        if not self._simulator.tracker_available:
-            raise TrackerUnavailableError("tracker outage: scrape failed")
-        return self._simulator.tracker.scrape()
-
-    def known_peers(self) -> List[int]:
-        if not self._simulator.tracker_available:
-            raise TrackerUnavailableError("tracker outage: announce failed")
-        return self._simulator.tracker.known_peers()
-
-    def progress(self, peer_id: int) -> Optional[float]:
-        if not self._simulator.alive[peer_id - 1]:
-            return None
-        have = int(self._simulator.bitfields.have_count[peer_id - 1])
-        return have / self.piece_count
-
-    def stale_count(self) -> int:
-        """Crashed-but-registered ghosts in the scrape (omniscient)."""
         simulator = self._simulator
-        return simulator.tracker.stale_count(
-            i + 1 for i in range(simulator.n_total) if simulator.alive[i]
-        )
+        return simulator.tracker.stale_count(simulator.present_pids())

@@ -30,10 +30,17 @@ __all__ = ["run_lint", "json_report", "main", "REPORT_VERSION"]
 REPORT_VERSION = 1
 
 #: Engine pairs subject to the cross-engine stream-parity check:
-#: (domain, reference-tree fragment, fast-tree fragment).
-ENGINE_PAIRS: Tuple[Tuple[str, str, str], ...] = (
-    ("core", "repro/core/", "repro/core/fast/"),
-    ("bittorrent", "repro/bittorrent/", "repro/bittorrent/fast/"),
+#: (domain, reference-tree fragment, fast-tree fragment, shared fragment).
+#: Streams drawn in the shared module -- the swarm control plane both
+#: engines subclass -- count as consumed by both trees.
+ENGINE_PAIRS: Tuple[Tuple[str, str, str, Optional[str]], ...] = (
+    ("core", "repro/core/", "repro/core/fast/", None),
+    (
+        "bittorrent",
+        "repro/bittorrent/",
+        "repro/bittorrent/fast/",
+        "repro/bittorrent/control.py",
+    ),
 )
 
 
@@ -77,13 +84,16 @@ class LintRun:
 def _parity_findings(consumption: Dict[str, Set[str]]) -> List[Finding]:
     """Cross-engine parity: both trees of a pair consume the same paired set."""
     findings: List[Finding] = []
-    for domain, reference_fragment, fast_fragment in ENGINE_PAIRS:
+    for domain, reference_fragment, fast_fragment, shared_fragment in ENGINE_PAIRS:
         reference: Set[str] = set()
         fast: Set[str] = set()
         reference_seen = fast_seen = False
         for path, names in consumption.items():
             posix = path.replace("\\", "/")
-            if fast_fragment in posix:
+            if shared_fragment is not None and shared_fragment in posix:
+                reference.update(names)
+                fast.update(names)
+            elif fast_fragment in posix:
                 fast_seen = True
                 fast.update(names)
             elif reference_fragment in posix:

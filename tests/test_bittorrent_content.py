@@ -29,15 +29,6 @@ class TestTorrentAndBitfield:
             Torrent(10, piece_size_kbit=0)
 
     def test_deprecated_kb_aliases(self):
-        with pytest.warns(DeprecationWarning):
-            torrent = Torrent(piece_count=10, piece_size_kb=100.0)
-        assert torrent.piece_size_kbit == 100.0
-        with pytest.warns(DeprecationWarning):
-            assert torrent.piece_size_kb == 100.0
-        with pytest.warns(DeprecationWarning):
-            assert torrent.total_size_kb == 1000.0
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            Torrent(10, piece_size_kb=0)
         with pytest.raises(TypeError):
             Torrent(10, piece_size_kbit=512.0, piece_size_kb=256.0)
 

@@ -3,6 +3,9 @@ slot-count strategy analysis."""
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,13 +180,18 @@ class TestSwarmSimulator:
         assert uploaded == pytest.approx(downloaded, rel=1e-9)
 
     def test_deprecated_peer_volume_aliases(self, swarm_result):
+        """The ambiguous ``*_kb`` spellings are gone, not aliased."""
         peer = swarm_result.leechers()[0]
-        with pytest.warns(DeprecationWarning):
-            assert peer.downloaded_kb == peer.downloaded_kbit
-        with pytest.warns(DeprecationWarning):
-            assert peer.uploaded_kb == peer.uploaded_kbit
-        with pytest.warns(DeprecationWarning):
-            assert peer.partial_kb is peer.partial_kbit
+        for name in ("downloaded_kb", "uploaded_kb", "partial_kb"):
+            assert not hasattr(peer, name)
+
+    def test_replace_round_trips_piece_size_without_warnings(self):
+        config = SwarmConfig(piece_size_kbit=128.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            copy = dataclasses.replace(config, leechers=10)
+        assert copy.piece_size_kbit == 128.0
+        assert copy.leechers == 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

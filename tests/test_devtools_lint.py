@@ -147,6 +147,14 @@ def test_parity_fires_when_fast_tree_drops_a_stream() -> None:
     assert "tracker-select" in messages
 
 
+def test_parity_counts_the_shared_control_plane_for_both_trees() -> None:
+    # bandwidth is drawn only in bittorrent/control.py, which both engines
+    # subclass: it is consumed by both trees, not only the reference one.
+    run = lint_fixture(FIXTURES / "parity" / "shared", parity=True)
+    assert not run.active
+    assert "bandwidth" in run.consumed_streams()
+
+
 def test_parity_skipped_on_partial_scans() -> None:
     # Only the reference half in scope: parity cannot be judged, no finding.
     reference_only = FIXTURES / "parity" / "broken" / "repro" / "core" / "dynamics.py"

@@ -30,7 +30,7 @@ from repro.bittorrent.resilience import (
     sample_pools,
 )
 from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
-from repro.bittorrent.telemetry import _FastSwarmView, _ReferenceSwarmView
+from repro.bittorrent.telemetry import SwarmView
 
 # ---------------------------------------------------------------------------
 # Policy construction and parsing
@@ -339,10 +339,7 @@ class TestResilienceBehavior:
             engine=engine,
         )
         result = armed.run()
-        if engine == "reference":
-            views = (_ReferenceSwarmView(defenseless), _ReferenceSwarmView(armed))
-        else:  # unwrap the facade: the fast view reads the array engine
-            views = (_FastSwarmView(defenseless._fast), _FastSwarmView(armed._fast))
+        views = (SwarmView(defenseless), SwarmView(armed))
         assert views[0].stale_count() == 4
         assert views[1].stale_count() == 0
         assert result.resilience.evictions == 4
@@ -366,15 +363,8 @@ class TestResilienceBehavior:
             SwarmConfig(faults="crash:3@2", **_BASE), seed=47, engine=engine
         )
         simulator.run()
-        if engine == "reference":
-            tracker = simulator.tracker
-            present = set(simulator.peers)
-        else:
-            fast = simulator._fast
-            tracker = fast.tracker
-            present = {
-                i + 1 for i in range(fast.n_total) if fast.alive[i]
-            }
+        tracker = simulator.tracker
+        present = set(simulator.present_pids())
         assert tracker.stale_count(present) == 3
         # Pretend nobody is present: every registration is now a ghost.
         assert tracker.stale_count(()) >= 3

@@ -11,6 +11,8 @@ diverge silently while callers migrate to explicit ``rng=``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,15 @@ def test_explicit_rng_does_not_warn(recwarn: pytest.WarningsRecorder) -> None:
         w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
     ]
     assert not deprecations
+
+
+def test_repro_deprecation_warnings_fail_the_suite() -> None:
+    """The pytest config turns a DeprecationWarning from repro code into an error.
+
+    A deprecated path that repro itself still calls would otherwise only
+    show up in the warnings summary.
+    """
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit(
+            "deprecated", DeprecationWarning, "graphs.py", 1, module="repro.graphs"
+        )
