@@ -8,8 +8,8 @@ SwarmSimulator` round for round on flat arrays:
   tests are byte-wise ``AND``/``NOT`` over tracker edges instead of Python
   set differences;
 * piece availability is one integer vector maintained incrementally, and
-  rarest-first selection is an ``argmin``-style mask over the wanted
-  indices;
+  rarest-first sorts a transfer's wanted pieces into rarity tiers once,
+  with one bounded draw for all of its picks;
 * the Tit-for-Tat slots of all peers are ranked in a single
   :func:`numpy.lexsort` over the received-volume edge array
   (:func:`~repro.bittorrent.fast.choking.batched_regular_slots`);
@@ -139,8 +139,10 @@ class FastSwarmSimulator(SwarmControl):
 
     @property
     def peers(self) -> Dict[int, SwarmPeer]:
-        """A fresh :meth:`materialize_peers` snapshot, departed peers included."""
-        return self.materialize_peers()
+        """A fresh snapshot of the present peers, like the reference ``peers``."""
+        return {
+            i + 1: self._materialize_one(i) for i in np.flatnonzero(self.alive).tolist()
+        }
 
     # -- membership primitives ------------------------------------------------------
 
@@ -366,31 +368,36 @@ class FastSwarmSimulator(SwarmControl):
     def _acquire_pieces(
         self,
         receiver: int,
-        wanted_idx: np.ndarray,
+        wanted_bytes: np.ndarray,
         credit: float,
         rng: np.random.Generator,
         reveal_limit: Optional[int] = None,
     ) -> Tuple[float, int]:
         """Convert ``credit`` kilobits into pieces; returns (credit, gained).
 
-        The reference loop re-picks from the live wanted set each piece,
-        but within one transfer the availability of the *remaining* wanted
-        pieces never changes (only the chosen piece's count moves, and it
-        leaves the set).  Rarest-first therefore pre-sorts the wanted
-        pieces into rarity tiers once and consumes them tier by tier.
+        ``wanted_bytes`` is the packed mask of pieces the sender has and
+        the receiver misses.  The reference loop re-picks from the live
+        wanted set each piece, but within one transfer the availability of
+        the *remaining* wanted pieces never changes (only the chosen
+        piece's count moves, and it leaves the set).  The picks therefore
+        run through fixed *tiers*: rarest-first sorts the wanted pieces
+        into rarity tiers once and empties them in order; random is one
+        tier of every wanted piece; sequential takes the lowest indices.
 
-        The random draws batch: the sequence of pick bounds (tier size,
-        tier size - 1, ...) is fully determined *before* any pick, and
-        ``Generator.integers(0, bounds_array)`` consumes the bit stream
-        element for element exactly like the equivalent sequence of scalar
-        ``integers(0, bound)`` calls (Lemire bounded generation either
-        way).  One vectorized draw therefore replaces the per-piece Python
-        RNG calls while staying draw-for-draw identical to the reference
-        selectors -- the equivalence suite holds bit-for-bit.
+        The bound of pick ``k`` is the end of its tier minus ``k``, so the
+        whole bound sequence is known before any pick, and one
+        ``Generator.integers(0, bounds_array)`` call (a scalar call for a
+        single pick) consumes the stream exactly as the reference
+        selectors' per-piece draws do.  Only the *outcome* of the draws
+        needs per-piece work, and only in the last tier when it is taken
+        partly: every earlier tier is taken whole whatever the draws were,
+        so it joins the result as a slice, and a transfer that takes the
+        receiver's entire wanted set ORs ``wanted_bytes`` into its row
+        without building a piece list at all.
         """
         piece_size = self.config.piece_size_kbit
         policy = self.config.piece_selection
-        taken: List[int] = []
+        wanted_idx = self.bitfields.indices(wanted_bytes)
         total = wanted_idx.shape[0]
 
         # The pick count replays the reference control flow exactly --
@@ -400,75 +407,54 @@ class FastSwarmSimulator(SwarmControl):
         # exact float the reference loop would leave behind.  A sender's
         # reveal_limit (super-seeding) caps the subtraction count too, so
         # the leftover credit matches the reference's capped loop.
+        cap = total if reveal_limit is None else min(total, reveal_limit)
         remaining = credit
         max_picks = 0
-        while (
-            remaining >= piece_size
-            and max_picks < total
-            and (reveal_limit is None or max_picks < reveal_limit)
-        ):
+        while remaining >= piece_size and max_picks < cap:
             remaining -= piece_size
             max_picks += 1
         if max_picks == 0:
             return credit, 0
 
-        if policy == "rarest-first":
-            avail = self.counts.take(wanted_idx)
-            # ``wanted_idx`` is ascending, so a stable sort on availability
-            # alone equals the reference lexsort((piece, avail)) ordering.
-            order = np.argsort(avail, kind="stable")
-            queue = wanted_idx.take(order)
-            levels = avail.take(order)
-            cuts = (levels[1:] != levels[:-1]).nonzero()[0]
-            starts = [0] + (cuts + 1).tolist()
-            ends = starts[1:] + [total]
-            bounds: List[int] = []
-            plan: List[Tuple[int, int, int]] = []  # (start, end, picks)
-            picks_left = max_picks
-            for tier_start, tier_end in zip(starts, ends):
-                size = tier_end - tier_start
-                take = size if size < picks_left else picks_left
-                plan.append((tier_start, tier_end, take))
-                bounds.extend(range(size, size - take, -1))
-                picks_left -= take
-                if picks_left == 0:
-                    break
-            if len(bounds) == 1:
+        queue = wanted_idx  # the wanted pieces in tier order
+        if policy != "sequential":  # sequential draws nothing
+            if policy == "rarest-first":
+                avail = self.counts.take(wanted_idx)
+                # ``wanted_idx`` is ascending, so a stable sort on
+                # availability alone equals the reference
+                # lexsort((piece, avail)) ordering.
+                order = avail.argsort(kind="stable")
+                queue = wanted_idx.take(order)
+                levels = avail.take(order)
+                ends = levels.searchsorted(levels[:max_picks], side="right")
+            else:  # random: one tier holding every wanted piece
+                ends = np.full(max_picks, total)
+            bounds = ends - np.arange(max_picks)
+            if max_picks == 1:
                 draws = [rng.integers(0, bounds[0])]
             else:
-                draws = rng.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
-            cursor = 0
-            for tier_start, tier_end, take in plan:
-                tier = queue[tier_start:tier_end].tolist()
-                for _ in range(take):
-                    taken.append(tier.pop(draws[cursor]))
-                    cursor += 1
-        elif policy == "random":
-            if max_picks == 1:
-                draws = [rng.integers(0, total)]
-            else:
-                draws = rng.integers(
-                    0, np.arange(total, total - max_picks, -1, dtype=np.int64)
-                ).tolist()
-            pool = wanted_idx.tolist()
-            for draw in draws:
-                taken.append(pool.pop(draw))
-        else:  # sequential: lowest index first, no randomness
-            taken = wanted_idx[:max_picks].tolist()
+                draws = rng.integers(0, bounds).tolist()
+            last_end = int(ends[-1])
+            if last_end > max_picks:
+                # The last tier is taken partly: replay its pops, and write
+                # the picks over its head so queue[:max_picks] is the result.
+                last_start = int(ends.searchsorted(last_end))
+                tier = queue[last_start:last_end].tolist()
+                queue[last_start:max_picks] = [
+                    tier.pop(draw) for draw in draws[last_start:]
+                ]
 
-        credit = remaining
-        gained = len(taken)
-        if gained:
-            # The loop above never re-reads bitfield or availability state
-            # (tiers are fixed per transfer), so the mutations batch.
-            idx = np.asarray(taken, dtype=np.int64)
-            packed_row = self.bitfields.packed[receiver]
-            np.bitwise_or.at(
-                packed_row, idx >> 3, (0x80 >> (idx & 7)).astype(np.uint8)
-            )
-            self.counts[idx] += 1
-            self.bitfields.have_count[receiver] += gained
-        return credit, gained
+        bitfields = self.bitfields
+        if max_picks == total:
+            bitfields.packed[receiver] |= wanted_bytes
+            self.counts[wanted_idx] += 1
+        else:
+            taken = np.zeros(self.config.piece_count, dtype=np.uint8)
+            taken[queue[:max_picks]] = 1
+            bitfields.packed[receiver] |= np.packbits(taken)
+            self.counts += taken
+        bitfields.have_count[receiver] += max_picks
+        return remaining, max_picks
 
     def _apply_round(
         self,
@@ -483,6 +469,7 @@ class FastSwarmSimulator(SwarmControl):
         piece_count = config.piece_count
         bitfields = self.bitfields
         have = bitfields.have_count
+        no_pieces = bytes(bitfields.n_bytes)
         partial = self.partial
         uploaded = self.uploaded
         downloaded = self.downloaded
@@ -500,7 +487,7 @@ class FastSwarmSimulator(SwarmControl):
                 wanted_bytes = None
             else:
                 wanted_bytes = bitfields.wanted_bytes(sender, receiver)
-                if not wanted_bytes.any():
+                if wanted_bytes.tobytes() == no_pieces:
                     continue
             uploaded[sender] += volume_kbit
             downloaded[receiver] += volume_kbit
@@ -518,9 +505,8 @@ class FastSwarmSimulator(SwarmControl):
             if credit >= piece_size:
                 if wanted_bytes is None:
                     wanted_bytes = bitfields.wanted_bytes(sender, receiver)
-                wanted_idx = bitfields.indices(wanted_bytes)
                 credit, gained = self._acquire_pieces(
-                    receiver, wanted_idx, credit, rng, self.reveal_limit[sender]
+                    receiver, wanted_bytes, credit, rng, self.reveal_limit[sender]
                 )
                 if (
                     gained
@@ -595,12 +581,12 @@ class FastSwarmSimulator(SwarmControl):
         """Rebuild reference ``SwarmPeer`` objects from the arrays.
 
         Each call returns a fresh snapshot of the *current* simulation
-        state (initial population before :meth:`run`, final state after),
-        departed peers included (frozen at their departure round); this is
-        what backs ``SwarmSimulator.peers`` in fast mode and the ``peers``
-        of the returned result.
+        state (initial population before :meth:`run`, final state after):
+        the present peers of :attr:`peers` plus the departed and crashed
+        ones, frozen at the round they left.  This is the ``peers`` of the
+        returned result; ``SwarmSimulator.peers`` in fast mode is
+        :attr:`peers`, present peers only.
         """
         peers: Dict[int, SwarmPeer] = dict(self._departed)
-        for i in np.flatnonzero(self.alive).tolist():
-            peers[i + 1] = self._materialize_one(i)
+        peers.update(self.peers)
         return dict(sorted(peers.items()))

@@ -353,21 +353,25 @@ def stratification_index(
         result.tft_reciprocal_rounds if use_tft_pairs else result.collaboration_volume
     )
 
+    # One pass over the pairs: each ranked peer receives its additions in
+    # the dict's pair order, so every sum is the same float a per-peer scan
+    # of all pairs would give.
+    weighted: Dict[int, float] = {}
+    totals: Dict[int, float] = {}
+    for (a, b), weight in weights.items():
+        if a not in rank or b not in rank:
+            continue
+        weighted[a] = weighted.get(a, 0.0) + weight * rank[b]
+        totals[a] = totals.get(a, 0.0) + weight
+        weighted[b] = weighted.get(b, 0.0) + weight * rank[a]
+        totals[b] = totals.get(b, 0.0) + weight
     own_ranks: List[float] = []
     partner_ranks: List[float] = []
     for peer in leechers:
-        total = 0.0
-        weighted = 0.0
-        for (a, b), weight in weights.items():
-            if a == peer.peer_id and b in rank:
-                weighted += weight * rank[b]
-                total += weight
-            elif b == peer.peer_id and a in rank:
-                weighted += weight * rank[a]
-                total += weight
+        total = totals.get(peer.peer_id, 0.0)
         if total > 0:
             own_ranks.append(float(rank[peer.peer_id]))
-            partner_ranks.append(weighted / total)
+            partner_ranks.append(weighted[peer.peer_id] / total)
     if len(own_ranks) < 3:
         return 0.0
     matrix = np.corrcoef(np.asarray(own_ranks), np.asarray(partner_ranks))

@@ -18,7 +18,7 @@ from repro.bittorrent.scenarios import (
     make_scenario,
     resolve_scenario,
 )
-from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
+from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator, stratification_index
 
 
 class TestScheduleValidation:
@@ -266,3 +266,61 @@ class TestReferenceChurnInvariants:
         peer.arrival_round = 0
         peer.completed_round = None
         assert peer.download_rate_kbps(rounds=40, round_seconds=10.0) == 1000.0 / 400.0
+
+
+def _stratification_oracle(result, *, use_tft_pairs=True, behaviors=None):
+    """``stratification_index`` by brute force: every pair, for every leecher."""
+    leechers = result.leechers()
+    if behaviors is not None:
+        leechers = [peer for peer in leechers if peer.behavior in set(behaviors)]
+    order = sorted(leechers, key=lambda peer: -peer.upload_kbps)
+    rank = {peer.peer_id: index + 1 for index, peer in enumerate(order)}
+    weights = (
+        result.tft_reciprocal_rounds if use_tft_pairs else result.collaboration_volume
+    )
+    own_ranks, partner_ranks = [], []
+    for peer in leechers:
+        total = 0.0
+        weighted = 0.0
+        for (a, b), weight in weights.items():
+            if a == peer.peer_id and b in rank:
+                weighted += weight * rank[b]
+                total += weight
+            elif b == peer.peer_id and a in rank:
+                weighted += weight * rank[a]
+                total += weight
+        if total > 0:
+            own_ranks.append(float(rank[peer.peer_id]))
+            partner_ranks.append(weighted / total)
+    if len(own_ranks) < 3:
+        return 0.0
+    return float(np.corrcoef(np.asarray(own_ranks), np.asarray(partner_ranks))[0, 1])
+
+
+class TestStratificationIndexUnderChurn:
+    """The one-pass index equals the brute-force scan, float for float."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        config = SwarmConfig(
+            leechers=40,
+            seeds=2,
+            piece_count=200,
+            rounds=30,
+            start_completion=0.1,
+            behaviors="free_rider:0.3",
+        )
+        return SwarmSimulator(config, seed=5, scenario="poisson").run()
+
+    @pytest.mark.parametrize("use_tft_pairs", [True, False])
+    @pytest.mark.parametrize("behaviors", [None, ["standard"], ["free_rider"]])
+    def test_matches_oracle(self, result, use_tft_pairs, behaviors):
+        assert result.arrivals > 0 and result.departures > 0
+        got = stratification_index(
+            result, use_tft_pairs=use_tft_pairs, behaviors=behaviors
+        )
+        want = _stratification_oracle(
+            result, use_tft_pairs=use_tft_pairs, behaviors=behaviors
+        )
+        assert got == want
+        assert got != 0.0

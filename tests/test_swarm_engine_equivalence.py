@@ -871,6 +871,23 @@ class TestEngineInterface:
         result = fast.run()
         for pid, peer in result.peers.items():
             assert fast.peers[pid].bitfield.held() == peer.bitfield.held()
+        # Under churn ``peers`` holds the peers still present on both
+        # engines; departed ones live only in the result.
+        config = SwarmConfig(
+            leechers=30, seeds=2, piece_count=40, rounds=20, start_completion=0.4
+        )
+        reference = SwarmSimulator(config, seed=13, scenario="seed-linger")
+        fast = SwarmSimulator(config, seed=13, scenario="seed-linger", engine="fast")
+        reference_result = reference.run()
+        fast_result = fast.run()
+        assert fast_result.departures == reference_result.departures > 0
+        assert set(fast.peers) == set(reference.peers)
+        assert len(fast.peers) < len(fast_result.peers)
+        for pid, peer in reference.peers.items():
+            snapshot = fast.peers[pid]
+            assert snapshot.departed_round is None
+            assert snapshot.bitfield.held() == peer.bitfield.held()
+            assert snapshot.neighbors == peer.neighbors
 
     def test_conflicting_piece_size_spellings_rejected(self):
         with pytest.raises(TypeError):
